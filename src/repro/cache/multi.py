@@ -34,7 +34,7 @@ simulated line by line, so flush counts, positions and post-flush cold
 misses match the reference engine bit for bit.  Parity with
 :func:`repro.cache.direct_mapped.simulate_cache` over every program,
 size and context-switch setting is asserted in
-``tests/cache/test_engine_parity.py`` and gated in CI.
+``tests/cache/test_engine_parity.py``.
 """
 
 from __future__ import annotations

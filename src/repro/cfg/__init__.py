@@ -2,7 +2,7 @@
 
 from .analyses import AnalysisManager, get_analyses
 from .block import BasicBlock, Function, GlobalData, Program
-from .dominators import DominatorTree, compute_dominators, dominates
+from .dominators import DominatorTree, compute_dominators
 from .graph import (
     build_function,
     check_function,
@@ -22,7 +22,6 @@ __all__ = [
     "Program",
     "DominatorTree",
     "compute_dominators",
-    "dominates",
     "build_function",
     "check_function",
     "compute_flow",

@@ -13,7 +13,7 @@ from .replication import (
     ReplicationStats,
     clone_function,
 )
-from .shortest_path import ShortestPathBase, ShortestPathMatrix, make_shortest_paths
+from .shortest_path import ShortestPathBase, ShortestPathMatrix
 from .sssp import LazyShortestPaths
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "ShortestPathBase",
     "ShortestPathMatrix",
     "LazyShortestPaths",
-    "make_shortest_paths",
     "ProfileGuidedResult",
     "profile_guided_replication",
 ]

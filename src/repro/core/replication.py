@@ -40,7 +40,8 @@ from ..obs import active as _active_observer
 from ..obs.decisions import ReplicationDecision
 from ..obs.tracer import NULL_SPAN
 from ..rtl.insn import CondBranch, IndirectJump, Jump, Return
-from .shortest_path import ShortestPathBase, make_shortest_paths
+from .shortest_path import ShortestPathBase
+from .sssp import LazyShortestPaths
 
 __all__ = [
     "ReplicationMode",
@@ -157,7 +158,6 @@ class CodeReplicator:
         jump_filter: Optional[
             Callable[[Function, BasicBlock, Jump], bool]
         ] = None,
-        engine: Optional[str] = None,
         after_sweep: Optional[Callable[[Function, int], None]] = None,
         convergence_guard: bool = True,
     ) -> None:
@@ -174,11 +174,6 @@ class CodeReplicator:
         # structure inside its own expansion, the non-terminating cascade
         # of §5.2.  Disabled only by tests pinning the safety valves.
         self.convergence_guard = convergence_guard
-        # Which step-1 shortest-path engine to use ("lazy" / "dense");
-        # ``None`` defers to the ``REPRO_SPM_ENGINE`` environment variable
-        # and ultimately the default.  Both engines produce byte-identical
-        # replication decisions; "dense" is kept as a differential oracle.
-        self.engine = engine
         # Optional predicate deciding whether a particular jump should be
         # replaced at all — the hook used by profile-guided replication.
         self.jump_filter = jump_filter
@@ -218,7 +213,7 @@ class CodeReplicator:
                     if tracer is not None
                     else NULL_SPAN
                 ):
-                    matrix = make_shortest_paths(func, self.engine)  # step 1
+                    matrix = LazyShortestPaths(func)  # step 1
                 # Step 2: traverse the blocks sequentially.  The matrix stays
                 # valid across replacements within one sweep: replication only
                 # adds blocks, so recorded shortest paths remain intact.

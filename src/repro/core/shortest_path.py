@@ -7,9 +7,10 @@ shortest paths with the Floyd/Warshall algorithm ([Wa62], [Fl62]) "once per
 invocation" — :class:`ShortestPathMatrix` keeps that dense implementation
 as the differential oracle.  The optimizer's hot path, however, only ever
 asks about a handful of sources (the actual jump targets of one sweep), so
-the default engine is the demand-driven :class:`repro.core.sssp.LazyShortestPaths`
-(per-source Dijkstra, memoized across the sweep); :func:`make_shortest_paths`
-selects between them.
+the replicator builds the demand-driven
+:class:`repro.core.sssp.LazyShortestPaths` instead (per-source Dijkstra,
+memoized across the sweep).  The parity tests swap the dense matrix in at
+that one construction site.
 
 Conventions (shared by both engines):
 
@@ -34,21 +35,15 @@ engine and the dense oracle produce byte-identical replication decisions.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..cfg.block import BasicBlock, Function
-from ..obs import active as _active_observer
 
-__all__ = ["ShortestPathMatrix", "ShortestPathBase", "make_shortest_paths"]
+__all__ = ["ShortestPathMatrix", "ShortestPathBase"]
 
 _INF = float("inf")
-
-#: Environment override for the engine choice (``lazy`` or ``dense``);
-#: an explicit ``engine=`` argument wins over the environment.
-ENGINE_ENV = "REPRO_SPM_ENGINE"
 
 
 class ShortestPathBase:
@@ -233,7 +228,7 @@ class ShortestPathMatrix(ShortestPathBase):
     """All-pairs shortest paths, computed densely with Floyd/Warshall.
 
     This is the paper's step-1 algorithm, kept as the differential
-    oracle behind ``engine="dense"`` / ``REPRO_SPM_ENGINE=dense``.
+    oracle of :class:`repro.core.sssp.LazyShortestPaths`.
     """
 
     def __init__(self, func: Function) -> None:
@@ -276,28 +271,3 @@ class ShortestPathMatrix(ShortestPathBase):
                 self._ret_best = best
         j = int(self._ret_best[i])
         return None if j < 0 else j
-
-
-def make_shortest_paths(
-    func: Function, engine: Optional[str] = None
-) -> ShortestPathBase:
-    """Build the step-1 engine for ``func``.
-
-    ``engine`` is ``"lazy"`` (the default: demand-driven per-source
-    Dijkstra) or ``"dense"`` (the paper's Floyd/Warshall matrix, kept as
-    the differential oracle).  ``None`` defers to the ``REPRO_SPM_ENGINE``
-    environment variable, then to ``"lazy"``.
-    """
-    name = engine or os.environ.get(ENGINE_ENV) or "lazy"
-    if name == "dense":
-        cls = ShortestPathMatrix
-    elif name == "lazy":
-        from .sssp import LazyShortestPaths
-
-        cls = LazyShortestPaths
-    else:
-        raise ValueError(f"shortest-path engine must be lazy/dense, got {name!r}")
-    obs = _active_observer()
-    if obs is not None:
-        obs.metrics.inc(f"sssp.engine.{name}")
-    return cls(func)

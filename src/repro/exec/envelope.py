@@ -24,7 +24,7 @@ __all__ = ["CellSpec", "CellResult", "CACHE_SCHEMA_VERSION"]
 #: changes; old cache entries become unreachable (different keys).
 #: v2: CellSpec grew ``observe``; CellResult grew ``obs`` (the
 #: observability snapshot: spans, metrics, replication decision log).
-#: v3: CellSpec grew ``spm_engine`` (the step-1 shortest-path engine).
+#: v3: CellSpec grew a step-1 shortest-path engine selector.
 #: v4: traced measurements carry an RLE ``CompressedTrace`` instead of
 #: the raw ``List[int]`` (the streaming dynamic-measurement pipeline);
 #: old raw-list envelopes must not shadow compressed ones, and the
@@ -33,15 +33,17 @@ __all__ = ["CellSpec", "CellResult", "CACHE_SCHEMA_VERSION"]
 #: (the translation-validation subsystem); verified runs bypass the
 #: cache entirely, but old envelopes lacking the new fields must not
 #: resurface.
-#: v6: CellSpec grew ``ease_engine`` (the measurement execution engine)
-#: and measurements carry an ``ease_engine`` provenance field; the
-#: engines are parity-gated but differ in timing, so pre-engine
-#: envelopes must not shadow engine-tagged ones.
+#: v6: CellSpec grew a measurement execution engine selector and
+#: measurements an engine provenance field; the engines are parity-gated
+#: but differ in timing, so pre-engine envelopes must not shadow
+#: engine-tagged ones.
 #: v7: CellSpec grew ``tuned`` (per-function replication overrides from
 #: the autotuner) and the replication engine gained the §5.2 convergence
 #: guard, which can change replication results on cascading shapes;
 #: guard-less envelopes must not shadow guarded ones.
-CACHE_SCHEMA_VERSION = 7
+#: v8: CellSpec lost both engine selectors (one production engine per
+#: layer), so the key dropped both dimensions.
+CACHE_SCHEMA_VERSION = 8
 
 
 @dataclass(frozen=True)
@@ -70,18 +72,6 @@ class CellSpec:
     #: cache key — a cached cell may carry a sparser snapshot than a
     #: fresh observed run would produce.
     observe: bool = False
-    #: Step-1 shortest-path engine ("lazy" / "dense"; ``None`` = default).
-    #: Decision parity makes the *result* engine-independent, but the
-    #: engines differ in timing/metrics, so the engine is part of the
-    #: cache key — a dense differential run never shadows a lazy one.
-    spm_engine: Optional[str] = None
-    #: Measurement execution engine ("compiled" / "interp"; ``None`` =
-    #: default, i.e. ``REPRO_EASE_ENGINE`` or compiled).  Engine parity
-    #: makes the *counts* engine-independent, but the engines differ in
-    #: wall time (``measure_seconds``), so the engine is part of the
-    #: cache key — an interpreter differential run never shadows a
-    #: compiled one.
-    ease_engine: Optional[str] = None
     #: Translation-validation mode ("off" / "sanitize" / "full");
     #: ``None`` defers to ``REPRO_VERIFY``.  A cell whose effective mode
     #: is not "off" bypasses the result cache in both directions: a
@@ -128,7 +118,7 @@ class CellResult:
     #: ``ReplicationStats`` flattened to a plain dict (stable to pickle).
     replication_stats: Optional[dict] = None
     #: Per-pass instrumentation records as plain dicts
-    #: (see :class:`repro.opt.instrument.PassRecord`).
+    #: (see :class:`repro.obs.passes.PassRecord`).
     passes: List[dict] = field(default_factory=list)
     #: Observability snapshot (``repro.obs.Observer.snapshot()``): spans
     #: (when the spec asked for them), metrics, replication decisions.

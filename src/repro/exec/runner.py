@@ -97,7 +97,7 @@ def execute_cell(spec: CellSpec) -> CellResult:
         from ..ease.measure import measure_program
         from ..frontend.codegen import compile_c
         from ..opt.driver import OptimizationConfig, optimize_program
-        from ..opt.instrument import PassInstrumentation
+        from ..obs.passes import PassTimeline
         from ..targets.machine import get_target
 
         with observer.span("exec.cell", label=spec.label):
@@ -125,7 +125,6 @@ def execute_cell(spec: CellSpec) -> CellResult:
                     policy=POLICIES[spec.policy],
                     max_rtls=spec.max_rtls,
                     validate_cfg=spec.validate_cfg,
-                    spm_engine=spec.spm_engine,
                     overrides=overrides,
                 )
                 from ..verify.verifier import Verifier, resolve_mode
@@ -133,7 +132,7 @@ def execute_cell(spec: CellSpec) -> CellResult:
                 verify_mode = resolve_mode(spec.verify)
                 if verify_mode != "off":
                     verifier = Verifier(verify_mode, inputs=[stdin])
-                instrumentation = PassInstrumentation()
+                instrumentation = PassTimeline()
                 start = perf_counter()
                 stats = optimize_program(
                     program, target, config, instrumentation, verifier=verifier
@@ -144,11 +143,7 @@ def execute_cell(spec: CellSpec) -> CellResult:
 
             start = perf_counter()
             result.measurement = measure_program(
-                program,
-                target,
-                stdin=stdin,
-                trace=spec.trace,
-                engine=spec.ease_engine,
+                program, target, stdin=stdin, trace=spec.trace
             )
             result.measure_seconds = perf_counter() - start
     except BaseException:

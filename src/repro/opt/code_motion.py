@@ -117,9 +117,13 @@ def loop_invariant_code_motion(func: Function) -> bool:
         if guard > 100:
             break
         info = get_analyses(func).loops()
+        # One liveness solve serves every loop tried in this round: a
+        # loop that hoists nothing leaves the function untouched, and a
+        # hoist ends the round.
+        liveness = Liveness(func)
         progress = False
         for loop in sorted(info.loops, key=lambda l: len(l.blocks)):
-            if _hoist_from_loop(func, loop):
+            if _hoist_from_loop(func, loop, liveness):
                 progress = True
                 changed = True
                 break
@@ -128,11 +132,10 @@ def loop_invariant_code_motion(func: Function) -> bool:
     return changed
 
 
-def _hoist_from_loop(func: Function, loop: Loop) -> bool:
+def _hoist_from_loop(func: Function, loop: Loop, liveness: Liveness) -> bool:
     defs = _defined_regs_in_loop(loop)
     loop_writes_mem = _loop_has_stores_or_calls(loop)
     dom = get_analyses(func).dominators()
-    liveness = Liveness(func)
     exits = loop.exits()
     header_live_in = liveness.block_live_in(loop.header)
 

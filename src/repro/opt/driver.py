@@ -45,11 +45,11 @@ from ..cfg.block import Function, Program
 from ..cfg.graph import check_function, compute_flow
 from ..core.replication import CodeReplicator, Policy, ReplicationMode, ReplicationStats
 from ..obs import active as _active_observer
+from ..obs.passes import PassTimeline, jump_count, rtl_count
 from ..obs.tracer import NULL_SPAN
 from ..targets.delay_slots import fill_delay_slots
 from ..targets.machine import Machine, get_target
 from .branch_chaining import branch_chaining
-from .instrument import PassInstrumentation, jump_count, rtl_count
 from .code_motion import loop_invariant_code_motion
 from .const_fold import fold_branches, fold_constants
 from .copy_prop import propagate_copies
@@ -123,9 +123,6 @@ class OptimizationConfig:
     fill_delay_slots: bool = True
     #: Debug: run the CFG invariant validator after every pass.
     validate_cfg: bool = False
-    #: Step-1 shortest-path engine for replication ("lazy" / "dense");
-    #: ``None`` defers to ``REPRO_SPM_ENGINE`` and the default ("lazy").
-    spm_engine: Optional[str] = None
     #: Per-function (policy, max_rtls, order) overrides emitted by the
     #: autotuner; functions not named here use the global settings above.
     overrides: Dict[str, FunctionTuning] = field(default_factory=dict)
@@ -137,10 +134,6 @@ class OptimizationConfig:
         if self.replication not in ("none", "loops", "jumps"):
             raise ValueError(
                 f"replication must be none/loops/jumps, got {self.replication!r}"
-            )
-        if self.spm_engine not in (None, "lazy", "dense"):
-            raise ValueError(
-                f"spm_engine must be lazy/dense, got {self.spm_engine!r}"
             )
 
     def tuning_for(self, function_name: str) -> FunctionTuning:
@@ -165,7 +158,6 @@ def _make_replicator(
         return CodeReplicator(
             mode=ReplicationMode.LOOPS,
             policy=Policy.FAVOR_LOOPS,
-            engine=config.spm_engine,
             after_sweep=after_sweep,
             convergence_guard=config.convergence_guard,
         )
@@ -174,7 +166,6 @@ def _make_replicator(
         policy=tuning.policy,
         max_rtls=tuning.max_rtls,
         allow_irreducible=allow_irreducible,
-        engine=config.spm_engine,
         after_sweep=after_sweep,
         convergence_guard=config.convergence_guard,
     )
@@ -184,13 +175,13 @@ def optimize_function(
     func: Function,
     target: Machine,
     config: OptimizationConfig,
-    instrumentation: Optional[PassInstrumentation] = None,
+    instrumentation: Optional[PassTimeline] = None,
     verifier=None,
 ) -> ReplicationStats:
     """Run the Figure-3 pipeline over ``func`` in place.
 
     With ``instrumentation`` given, every pass invocation is timed and
-    bracketed by an RTL / jump census (see :mod:`repro.opt.instrument`).
+    bracketed by an RTL / jump census (see :mod:`repro.obs.passes`).
     With an ambient observer installed (:func:`repro.obs.active`), every
     pass additionally becomes a tracer span nested under an
     ``opt.function`` root, and pass/change counters land in the metrics
@@ -341,7 +332,7 @@ def optimize_program(
     program: Program,
     target,
     config: Optional[OptimizationConfig] = None,
-    instrumentation: Optional[PassInstrumentation] = None,
+    instrumentation: Optional[PassTimeline] = None,
     verifier=None,
 ) -> ReplicationStats:
     """Optimize every function of ``program``; return merged replication stats.

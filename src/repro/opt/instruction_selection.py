@@ -24,7 +24,7 @@ from ..cfg.block import BasicBlock, Function
 from ..rtl.expr import BinOp, Const, Expr, Mem, Reg, UnOp, regs_in
 from ..rtl.insn import Assign, Call, Compare, Insn
 from ..targets.machine import Machine
-from .liveness import Liveness
+from .liveness import Liveness, block_use_def
 
 __all__ = ["legalize", "combine", "RegFactory"]
 
@@ -233,9 +233,11 @@ def combine(func: Function, target: Machine) -> bool:
     changed = False
     liveness = Liveness(func)
     for block in func.blocks:
+        before = block_use_def(block)
         if _combine_block(block, target, liveness):
             changed = True
-            liveness = Liveness(func)  # block contents changed
+            if not liveness.still_exact_after_edit(block, before):
+                liveness = Liveness(func)
     return changed
 
 

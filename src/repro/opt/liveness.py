@@ -21,7 +21,21 @@ from ..cfg.block import BasicBlock, Function
 from ..rtl.expr import Reg
 from ..rtl.insn import Insn
 
-__all__ = ["Liveness"]
+__all__ = ["Liveness", "block_use_def"]
+
+
+def block_use_def(block: BasicBlock) -> Tuple[Set[Reg], Set[Reg]]:
+    """(upward-exposed uses, definitions) of one block: its transfer function."""
+    u: Set[Reg] = set()
+    d: Set[Reg] = set()
+    for insn in block.insns:
+        for reg in insn.used_regs():
+            if reg not in d:
+                u.add(reg)
+        defined = insn.defined_reg()
+        if defined is not None:
+            d.add(defined)
+    return u, d
 
 
 class Liveness:
@@ -37,17 +51,7 @@ class Liveness:
         use: Dict[int, Set[Reg]] = {}
         defs: Dict[int, Set[Reg]] = {}
         for block in self.func.blocks:
-            u: Set[Reg] = set()
-            d: Set[Reg] = set()
-            for insn in block.insns:
-                for reg in insn.used_regs():
-                    if reg not in d:
-                        u.add(reg)
-                defined = insn.defined_reg()
-                if defined is not None:
-                    d.add(defined)
-            use[id(block)] = u
-            defs[id(block)] = d
+            use[id(block)], defs[id(block)] = block_use_def(block)
             self.live_in[id(block)] = set()
             self.live_out[id(block)] = set()
 
@@ -65,6 +69,23 @@ class Liveness:
                     self.live_out[id(block)] = out
                     self.live_in[id(block)] = new_in
                     changed = True
+
+    def still_exact_after_edit(
+        self, block: BasicBlock, before: Tuple[Set[Reg], Set[Reg]]
+    ) -> bool:
+        """Whether the sets are still exact after ``block``'s instructions changed.
+
+        ``before`` is the block's :func:`block_use_def` from before the
+        edit, which must have left the CFG alone.  If the edit kept every
+        use and added no definition, the new system's least fixpoint is no
+        smaller than the stored one; if the stored sets also still solve
+        the block's equation, they are that least fixpoint.
+        """
+        use, defs = block_use_def(block)
+        if not (before[0] <= use and defs <= before[1]):
+            return False
+        out = self.live_out[id(block)]
+        return use | (out - defs) == self.live_in[id(block)]
 
     # --- queries --------------------------------------------------------------
 

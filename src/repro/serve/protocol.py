@@ -85,7 +85,13 @@ def decode_line(line: bytes) -> Dict[str, Any]:
 _SPEC_FIELDS = {f.name for f in fields(CellSpec)}
 _SPEC_BOOLS = {"trace", "optimize", "validate_cfg", "observe"}
 _SPEC_STRINGS = {"program", "target", "replication", "policy"}
-_SPEC_OPT_STRINGS = {"spm_engine", "ease_engine", "verify"}
+_SPEC_OPT_STRINGS = {"verify"}
+
+
+def _is_int_or_null(value: Any) -> bool:
+    """JSON ``true``/``false`` decode to Python ints; refuse them here, or
+    ``max_rtls=true`` would act as 1 yet key differently in the cache."""
+    return value is None or (isinstance(value, int) and not isinstance(value, bool))
 
 
 def spec_to_wire(spec: CellSpec) -> Dict[str, Any]:
@@ -124,7 +130,7 @@ def _tuned_from_wire(value: Any):
         function, policy, max_rtls, order = row
         if not isinstance(function, str) or not isinstance(policy, str):
             raise ProtocolError("'tuned' function and policy must be strings")
-        if not (max_rtls is None or isinstance(max_rtls, int)):
+        if not _is_int_or_null(max_rtls):
             raise ProtocolError("'tuned' max_rtls must be an int or null")
         if not isinstance(order, str):
             raise ProtocolError("'tuned' order must be a string")
@@ -158,9 +164,7 @@ def spec_from_wire(data: Any) -> CellSpec:
             value is None or isinstance(value, str)
         ):
             raise ProtocolError(f"spec field {key!r} must be a string or null")
-        if key == "max_rtls" and not (
-            value is None or isinstance(value, int)
-        ):
+        if key == "max_rtls" and not _is_int_or_null(value):
             raise ProtocolError("spec field 'max_rtls' must be an int or null")
         if key == "tuned":
             value = _tuned_from_wire(value)

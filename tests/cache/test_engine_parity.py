@@ -12,7 +12,6 @@ from repro.cache import (
     PAPER_CACHE_SIZES,
     CacheConfig,
     MultiCacheStats,
-    resolve_cachesim_engine,
     simulate_cache,
     simulate_multi_cache,
     simulate_paper_configurations,
@@ -139,7 +138,7 @@ class TestRealPrograms:
     def measurements(self):
         out = {}
         target = get_target("sparc")
-        for name in ("wc", "sieve", "bubblesort"):
+        for name in ("wc", "sieve", "bubblesort", "queens"):
             for replication in ("none", "jumps"):
                 bench = PROGRAMS[name]
                 program = compile_c(bench.source)
@@ -199,35 +198,22 @@ class TestZeroFetchBlocks:
 
 class TestDispatch:
     def test_paper_configurations_engines_agree(self):
+        # simulate_paper_configurations runs the multi engine; the
+        # per-size replay is its reference.
         trace = [0, 1, 2] * 300 + [3]
         fetches = {i: [i * 32 + j * 4 for j in range(4)] for i in range(4)}
         for ctx in (False, True):
-            ref = simulate_paper_configurations(
-                trace, fetches, context_switches=ctx, engine="reference"
-            )
             fast = simulate_paper_configurations(
-                trace, fetches, context_switches=ctx, engine="multi"
+                trace, fetches, context_switches=ctx
             )
-            assert ref.keys() == fast.keys()
-            for size in ref:
-                assert (
-                    ref[size].accesses,
-                    ref[size].misses,
-                    ref[size].fetch_cost,
-                    ref[size].flushes,
-                ) == (
-                    fast[size].accesses,
-                    fast[size].misses,
-                    fast[size].fetch_cost,
-                    fast[size].flushes,
+            assert list(fast) == list(PAPER_CACHE_SIZES)
+            for size, got in fast.items():
+                want = simulate_cache(
+                    trace, fetches, CacheConfig(size=size), context_switches=ctx
                 )
-
-    def test_resolver_precedence(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CACHESIM_ENGINE", raising=False)
-        assert resolve_cachesim_engine() == "multi"
-        assert resolve_cachesim_engine("reference") == "reference"
-        monkeypatch.setenv("REPRO_CACHESIM_ENGINE", "reference")
-        assert resolve_cachesim_engine() == "reference"
-        assert resolve_cachesim_engine("multi") == "multi"
-        with pytest.raises(ValueError):
-            resolve_cachesim_engine("turbo")
+                assert (got.accesses, got.misses, got.fetch_cost, got.flushes) == (
+                    want.accesses,
+                    want.misses,
+                    want.fetch_cost,
+                    want.flushes,
+                )

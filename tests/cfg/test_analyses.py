@@ -5,7 +5,6 @@ from repro.cfg import (
     check_function,
     compute_dominators,
     compute_flow,
-    dominates,
     find_loops,
     get_analyses,
 )
@@ -129,8 +128,8 @@ class TestConsistencyAndDelegation:
         func = _loop_func()
         entry, header = func.blocks[0], func.blocks[1]
         with observing(spans=False) as obs:
-            assert dominates(func, entry, header)
-            assert not dominates(func, header, entry)
+            assert get_analyses(func).dominates(entry, header)
+            assert not get_analyses(func).dominates(header, entry)
         # One miss computed the tree; the second query hit the cache.
         assert obs.metrics.counters["analysis.cache.miss.dominators"] == 1
         assert obs.metrics.counters["analysis.cache.hit.dominators"] >= 1

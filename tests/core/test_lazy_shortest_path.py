@@ -10,15 +10,9 @@ against networkx as an independent oracle.
 """
 
 import networkx as nx
-import pytest
 from hypothesis import given, settings
 
-from repro.core import (
-    LazyShortestPaths,
-    ShortestPathMatrix,
-    make_shortest_paths,
-)
-from repro.core.shortest_path import ENGINE_ENV
+from repro.core import LazyShortestPaths, ShortestPathMatrix
 from repro.obs import observing
 from tests.cfg.test_dominators import build_graph, random_edge_lists
 from tests.conftest import function_from_text
@@ -108,38 +102,6 @@ class TestLazyAgainstNetworkx:
                     assert mine == lengths[dst.label] + src.size()
                 else:
                     assert mine == float("inf")
-
-
-class TestEngineSelection:
-    def _func(self):
-        return function_from_text("f", "PC=L1;\nL1:\n  PC=RT;")
-
-    def test_factory_resolves_explicit_engine(self):
-        assert isinstance(make_shortest_paths(self._func(), "dense"), ShortestPathMatrix)
-        assert isinstance(make_shortest_paths(self._func(), "lazy"), LazyShortestPaths)
-
-    def test_factory_defaults_to_lazy(self, monkeypatch):
-        monkeypatch.delenv(ENGINE_ENV, raising=False)
-        assert isinstance(make_shortest_paths(self._func()), LazyShortestPaths)
-
-    def test_factory_reads_environment(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV, "dense")
-        assert isinstance(make_shortest_paths(self._func()), ShortestPathMatrix)
-        # An explicit argument beats the environment.
-        assert isinstance(
-            make_shortest_paths(self._func(), "lazy"), LazyShortestPaths
-        )
-
-    def test_factory_rejects_unknown_engine(self):
-        with pytest.raises(ValueError, match="lazy/dense"):
-            make_shortest_paths(self._func(), "quantum")
-
-    def test_engine_choice_is_counted(self):
-        with observing(spans=False) as obs:
-            make_shortest_paths(self._func(), "lazy")
-            make_shortest_paths(self._func(), "dense")
-        assert obs.metrics.counters["sssp.engine.lazy"] == 1
-        assert obs.metrics.counters["sssp.engine.dense"] == 1
 
 
 class TestLaziness:

@@ -86,6 +86,14 @@ class TestSuitePrograms:
         # functions that matter.
         assert compiled.fallbacks == {}, compiled.fallbacks
 
+    def test_fusion_actually_fires(self, suite):
+        # The block-fusion optimization must engage on the suite, not
+        # just be correct when idle.
+        fused = sum(
+            CompiledInterpreter(program).blocks_fused for program, _ in suite.values()
+        )
+        assert fused > 0
+
     def test_unoptimized_parity(self, suite):
         # The engines must also agree on front-end output (no
         # replication, different block shapes: more jumps, no fusion
@@ -186,25 +194,6 @@ class TestStepLimitParity:
 
 
 class TestEngineSelection:
-    def test_make_interpreter_default_is_compiled(self, monkeypatch):
-        monkeypatch.delenv("REPRO_EASE_ENGINE", raising=False)
+    def test_make_interpreter_default_is_compiled(self):
         program = compile_c("int main() { return 7; }")
         assert isinstance(make_interpreter(program), CompiledInterpreter)
-
-    def test_env_selects_interp(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EASE_ENGINE", "interp")
-        program = compile_c("int main() { return 7; }")
-        interp = make_interpreter(program)
-        assert not isinstance(interp, CompiledInterpreter)
-
-    def test_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EASE_ENGINE", "interp")
-        program = compile_c("int main() { return 7; }")
-        assert isinstance(
-            make_interpreter(program, "compiled"), CompiledInterpreter
-        )
-
-    def test_unknown_engine_rejected(self):
-        program = compile_c("int main() { return 7; }")
-        with pytest.raises(ValueError):
-            make_interpreter(program, "turbo")

@@ -62,33 +62,19 @@ def test_key_ignores_cache_root(tmp_path):
         {"program": "int main() { return 8; }"},
         {"target": "m68020"},
         {"replication": "jumps"},
+        {"replication": "loops"},
         {"policy": "returns"},
         {"max_rtls": 12},
         {"trace": True},
         {"optimize": False},
         {"stdin": b"abc"},
-        {"ease_engine": "interp"},
         {"tuned": (("main", "returns", None, "standard"),)},
         {"tuned": (("main", "shortest", 8, "late"),)},
     ],
 )
-def test_key_changes_when_config_changes(tmp_path, variant, monkeypatch):
-    monkeypatch.delenv("REPRO_EASE_ENGINE", raising=False)
+def test_key_changes_when_config_changes(tmp_path, variant):
     cache = ResultCache(tmp_path)
     assert cache.key(replace(SPEC, **variant)) != cache.key(SPEC)
-
-
-def test_key_hashes_resolved_ease_engine(tmp_path, monkeypatch):
-    """The key carries the *resolved* engine: a spec left at the default
-    and one pinned to the default engine are the same cell, while an
-    environment-variable switch must not serve stale entries."""
-    monkeypatch.delenv("REPRO_EASE_ENGINE", raising=False)
-    cache = ResultCache(tmp_path)
-    assert cache.key(SPEC) == cache.key(replace(SPEC, ease_engine="compiled"))
-    monkeypatch.setenv("REPRO_EASE_ENGINE", "interp")
-    env_key = cache.key(SPEC)
-    assert env_key == cache.key(replace(SPEC, ease_engine="interp"))
-    assert env_key != cache.key(replace(SPEC, ease_engine="compiled"))
 
 
 def test_key_distinguishes_tuned_rows(tmp_path):
@@ -157,18 +143,6 @@ def test_executed_cell_round_trips_with_instrumentation(tmp_path):
     assert loaded.measurement.dynamic_insns == result.measurement.dynamic_insns
     assert loaded.replication_stats == result.replication_stats
     assert loaded.passes == result.passes and loaded.passes
-
-
-def test_cached_envelope_carries_ease_engine(tmp_path):
-    """The engine that produced a measurement rides in the cached
-    envelope, so ``repro bench --json`` can report it for cache hits."""
-    cache = ResultCache(tmp_path)
-    spec = CellSpec(program="wc", ease_engine="interp")
-    result = execute_cell(spec)
-    assert result.ok and result.measurement.ease_engine == "interp"
-    cache.put_spec(spec, result)
-    loaded = ResultCache(tmp_path).get_spec(spec)
-    assert loaded.measurement.ease_engine == "interp"
 
 
 def test_clear(tmp_path):

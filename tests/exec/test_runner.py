@@ -30,19 +30,6 @@ def test_execute_cell_reference_run():
     assert result.replication_stats is None and not result.passes
 
 
-def test_execute_cell_records_ease_engine():
-    compiled = execute_cell(CellSpec(program="wc", ease_engine="compiled"))
-    interp = execute_cell(CellSpec(program="wc", ease_engine="interp"))
-    assert compiled.ok and interp.ok
-    assert compiled.measurement.ease_engine == "compiled"
-    assert interp.measurement.ease_engine == "interp"
-    # Engine choice is provenance, not semantics: identical counts.
-    assert (
-        compiled.measurement.dynamic_insns == interp.measurement.dynamic_insns
-    )
-    assert compiled.measurement.output == interp.measurement.output
-
-
 def test_execute_cell_captures_failure():
     result = execute_cell(CRASHING)
     assert not result.ok

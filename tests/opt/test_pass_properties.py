@@ -133,6 +133,7 @@ class TestPassSemantics:
 
 
 from repro.opt import Liveness
+from repro.opt.liveness import block_use_def
 from tests.core.test_random_cfgs import random_functions
 
 
@@ -164,3 +165,59 @@ class TestLivenessEquations:
                 live_in.discard(defined)
             live_in |= first.used_regs()
             assert live_in == liveness.block_live_in(block)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_solution_kept_after_edit_matches_fresh_solve(self, data):
+        func = data.draw(random_functions())
+        liveness = Liveness(func)
+        block = data.draw(st.sampled_from(func.blocks))
+        body = [i for i, insn in enumerate(block.insns) if insn is not block.terminator]
+        if not body:
+            return
+        before = block_use_def(block)
+        del block.insns[data.draw(st.sampled_from(body))]
+        if liveness.still_exact_after_edit(block, before):
+            fresh = Liveness(func)
+            assert fresh.live_in == liveness.live_in
+            assert fresh.live_out == liveness.live_out
+
+    def test_edit_verdicts(self):
+        from tests.conftest import function_from_text
+
+        func = function_from_text("f", "v[1]=5;\nrv[0]=v[2];\nPC=RT;")
+        liveness = Liveness(func)
+        (block,) = func.blocks
+        before = block_use_def(block)
+        del block.insns[0]  # a dead definition: nothing moves
+        assert liveness.still_exact_after_edit(block, before)
+        before = block_use_def(block)
+        del block.insns[0]  # the only use of v[2]: v[2] is no longer live
+        assert not liveness.still_exact_after_edit(block, before)
+
+    def test_dropped_use_in_loop_is_not_kept(self):
+        # Once v[3]'s only use goes, the stale sets still solve the loop
+        # block's equation (v[3] "live" around the back edge), but they
+        # are no longer the least solution.
+        from tests.conftest import function_from_text
+
+        func = function_from_text(
+            "f",
+            """
+            d[0]=0;
+            L1:
+              v[2]=v[3];
+              d[0]=d[0]+1;
+              NZ=d[0]?100;
+              PC=NZ<0,L1;
+            rv[0]=d[0];
+            PC=RT;
+            """,
+        )
+        liveness = Liveness(func)
+        loop = next(b for b in func.blocks if b.label == "L1")
+        before = block_use_def(loop)
+        del loop.insns[0]
+        out = liveness.block_live_out(loop)
+        assert Reg("v", 3) in out and Reg("v", 3) not in Liveness(func).block_live_out(loop)
+        assert not liveness.still_exact_after_edit(loop, before)

@@ -55,9 +55,7 @@ def test_spec_round_trip_full():
         max_rtls=32,
         trace=True,
         stdin=b"\x00\x01binary\xff",
-        spm_engine="dense",
         verify="off",
-        ease_engine="interp",
         tuned=(("helper", "returns", 8, "late"), ("main", "loops", None, "nofinal")),
     )
     wire = spec_to_wire(spec)
@@ -102,11 +100,24 @@ def test_spec_wire_encodes_stdin_as_base64():
         {"program": "wc", "tuned": [["main", 2, None, "standard"]]},
         {"program": "wc", "tuned": [["main", "returns", "8", "standard"]]},
         {"program": "wc", "tuned": [["main", "returns", None, 3]]},
+        # JSON booleans decode to Python ints; accepted, ``true`` would act
+        # as 1 yet key differently from 1, defeating dedup and coalescing.
+        {"program": "wc", "max_rtls": True},
+        {"program": "wc", "max_rtls": False},
+        {"program": "wc", "tuned": [["main", "returns", True, "standard"]]},
+        {"program": "wc", "tuned": [["main", "returns", False, "standard"]]},
     ],
 )
 def test_spec_from_wire_rejects_malformed(wire):
     with pytest.raises(ProtocolError):
         spec_from_wire(wire)
+
+
+@pytest.mark.parametrize("layer", ["spm", "ease"])
+def test_spec_from_wire_rejects_retired_engine_fields(layer):
+    # The step-1 and measurement engine selectors are gone from CellSpec.
+    with pytest.raises(ProtocolError, match="unknown spec field"):
+        spec_from_wire({"program": "wc", f"{layer}_engine": "dense"})
 
 
 @pytest.mark.parametrize("items", [None, "x", [], [{"program": "wc"}, "junk"]])

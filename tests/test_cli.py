@@ -94,51 +94,6 @@ class TestCommands:
         )
 
 
-class TestEaseEngineFlag:
-    def _bench_json(self, tmp_path, *extra):
-        import json
-
-        out = tmp_path / "bench.json"
-        code = main(
-            [
-                "bench",
-                "--no-cache",
-                "--parallel",
-                "1",
-                "--quiet",
-                "--programs",
-                "wc",
-                "--configs",
-                "none",
-                "--json",
-                str(out),
-                *extra,
-            ]
-        )
-        assert code == 0
-        return json.loads(out.read_text())
-
-    def test_bench_json_reports_default_engine(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_EASE_ENGINE", raising=False)
-        data = self._bench_json(tmp_path)
-        assert data["ease_engine"] == "compiled"
-        assert data["cells"]
-        for cell in data["cells"]:
-            assert cell["ease_engine"] == "compiled"
-
-    def test_bench_json_reports_selected_engine(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_EASE_ENGINE", raising=False)
-        data = self._bench_json(tmp_path, "--ease-engine", "interp")
-        assert data["ease_engine"] == "interp"
-        for cell in data["cells"]:
-            assert cell["ease_engine"] == "interp"
-
-    def test_measure_accepts_engine_flag(self, c_file, capsys):
-        for engine in ("compiled", "interp"):
-            assert main(["measure", str(c_file), "--ease-engine", engine]) == 0
-            assert "dynamic instructions" in capsys.readouterr().out
-
-
 class TestDotCommand:
     def test_dot_output(self, capsys):
         assert main(["dot", "queens", "--function", "place"]) == 0
